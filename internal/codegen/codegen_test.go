@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -301,6 +302,29 @@ func TestSchedulePreservesStoreOrder(t *testing.T) {
 		if ops[i] != want[i] {
 			t.Fatalf("memory order changed: %v", ops)
 		}
+	}
+}
+
+// TestScheduleOrdersPostAndWait: post and wait read their cell and
+// value registers and order against every memory op. A scheduler blind
+// to them hoists the IV bump above the post, which would then publish
+// the bumped value, and hoists a guarded load above its wait.
+func TestScheduleOrdersPostAndWait(t *testing.T) {
+	block := []titan.Instr{
+		{Op: titan.OpPost, Rs1: 27, Rs2: 36},
+		{Op: titan.OpAddi, Rd: 36, Rs1: 36, Imm: 1},
+		{Op: titan.OpSt4, Rs1: 5, Rs2: 36},
+	}
+	if got := scheduleBlock(block); !reflect.DeepEqual(got, []int{0, 1, 2}) {
+		t.Errorf("post block scheduled as %v, want [0 1 2]", got)
+	}
+	block = []titan.Instr{
+		{Op: titan.OpWait, Rs1: 28, Rs2: 40},
+		{Op: titan.OpFld4, Rd: 20, Rs1: 5},
+		{Op: titan.OpFadd, Rd: 21, Rs1: 20, Rs2: 20},
+	}
+	if got := scheduleBlock(block); !reflect.DeepEqual(got, []int{0, 1, 2}) {
+		t.Errorf("wait block scheduled as %v, want [0 1 2]", got)
 	}
 }
 

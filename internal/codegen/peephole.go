@@ -82,9 +82,9 @@ func coalesceCopies(f *titan.Func) {
 // the given file.
 func writesReg(in titan.Instr, r int, flt bool) bool {
 	defs, _ := defsUses(in)
-	want := rcInt
+	want := titan.RegInt
 	if flt {
-		want = rcFlt
+		want = titan.RegFlt
 	}
 	for _, d := range defs {
 		if d.class == want && d.num == r {
@@ -104,9 +104,9 @@ func writesReg(in titan.Instr, r int, flt bool) bool {
 // never be the destination of a coalescing candidate. A control transfer
 // or label therefore ends the scratch's live range.
 func scratchLiveAfter(f *titan.Func, i int, s int, flt bool, isTarget []bool) bool {
-	want := rcInt
+	want := titan.RegInt
 	if flt {
-		want = rcFlt
+		want = titan.RegFlt
 	}
 	for ; i < len(f.Instrs); i++ {
 		if isTarget[i] {
@@ -124,9 +124,7 @@ func scratchLiveAfter(f *titan.Func, i int, s int, flt bool, isTarget []bool) bo
 				return false // rewritten before any read
 			}
 		}
-		switch in.Op {
-		case titan.OpJmp, titan.OpBeqz, titan.OpBnez, titan.OpRet, titan.OpHalt,
-			titan.OpCall, titan.OpParBegin, titan.OpParEnd:
+		if in.Op.Info().Flow == titan.FlowControl {
 			return false // statement boundary
 		}
 	}

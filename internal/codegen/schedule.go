@@ -12,11 +12,13 @@ package codegen
 // computation overlap can provide a significant speedup in many
 // programs", §2).
 //
-// Memory ordering is conservative: stores order against all other memory
-// operations; loads reorder freely with loads. The dependence information
-// that justified more aggressive reordering at the IL level has already
-// been spent (register promotion removed the conflicting references), so
-// the conservative rule loses nothing on the §6 workloads.
+// Memory ordering is conservative and comes from the op table's memory
+// effect: stores and the DOACROSS post/wait pair order against all other
+// memory operations; loads reorder freely with loads. The dependence
+// information that justified more aggressive reordering at the IL level
+// has already been spent (register promotion removed the conflicting
+// references), so the conservative rule loses nothing on the §6
+// workloads.
 
 import "repro/internal/titan"
 
@@ -68,9 +70,9 @@ func scheduleFunc(f *titan.Func) {
 			oldToNew[i] = len(out)
 			break
 		}
-		if isControl(f.Instrs[i].Op) {
-			// Schedule the straight-line prefix, keep the control
-			// instruction as the block terminator.
+		if f.Instrs[i].Op.Info().Flow != titan.FlowNone {
+			// Schedule the straight-line prefix, keep the control (or
+			// argument-list) instruction as the block terminator.
 			if i > start {
 				flush(f.Instrs[start:i], start)
 			}
@@ -96,28 +98,8 @@ func scheduleFunc(f *titan.Func) {
 	f.Instrs = out
 }
 
-func isControl(op titan.Op) bool {
-	switch op {
-	case titan.OpJmp, titan.OpBeqz, titan.OpBnez, titan.OpCall, titan.OpRet,
-		titan.OpHalt, titan.OpParBegin, titan.OpParEnd, titan.OpArg, titan.OpFarg:
-		return true
-	}
-	return false
-}
-
-// regClass distinguishes the register files for dependence tracking.
-type regClass int
-
-const (
-	rcInt regClass = iota
-	rcFlt
-	rcVec
-	rcMask // vector-mask registers
-	rcVL   // the vector length register
-)
-
 type regRef struct {
-	class regClass
+	class titan.RegClass
 	num   int
 }
 
@@ -132,108 +114,21 @@ type regRefs struct {
 	nUse int
 }
 
-func (r *regRefs) def(x regRef) {
-	r.defs[r.nDef] = x
-	r.nDef++
-}
-
-func (r *regRefs) use(xs ...regRef) {
-	r.nUse += copy(r.uses[r.nUse:], xs)
-}
-
-// instrRefs returns the registers an instruction writes and reads.
+// instrRefs returns the registers an instruction writes and reads: the
+// op table's Def slots and the slots it really reads (timing-only reads
+// are not dependences).
 func instrRefs(in titan.Instr) (r regRefs) {
-	ir := func(n int) regRef { return regRef{rcInt, n} }
-	fr := func(n int) regRef { return regRef{rcFlt, n} }
-	vr := func(n int) regRef { return regRef{rcVec, n} }
-	mk := func(n int) regRef { return regRef{rcMask, n} }
-	switch in.Op {
-	case titan.OpLdi:
-		r.def(ir(in.Rd))
-	case titan.OpFldi:
-		r.def(fr(in.Rd))
-	case titan.OpMov, titan.OpNeg, titan.OpNot, titan.OpBnot, titan.OpAddi, titan.OpMuli:
-		r.def(ir(in.Rd))
-		r.use(ir(in.Rs1))
-	case titan.OpAdd, titan.OpSub, titan.OpMul, titan.OpDiv, titan.OpRem,
-		titan.OpAnd, titan.OpOr, titan.OpXor, titan.OpShl, titan.OpShr,
-		titan.OpCmpEq, titan.OpCmpNe, titan.OpCmpLt, titan.OpCmpLe,
-		titan.OpCmpGt, titan.OpCmpGe:
-		r.def(ir(in.Rd))
-		r.use(ir(in.Rs1), ir(in.Rs2))
-	case titan.OpPid, titan.OpNproc:
-		r.def(ir(in.Rd))
-	case titan.OpLd1, titan.OpLd2, titan.OpLd4:
-		r.def(ir(in.Rd))
-		r.use(ir(in.Rs1))
-	case titan.OpSt1, titan.OpSt2, titan.OpSt4:
-		r.use(ir(in.Rs1), ir(in.Rs2))
-	case titan.OpFld4, titan.OpFld8:
-		r.def(fr(in.Rd))
-		r.use(ir(in.Rs1))
-	case titan.OpFst4, titan.OpFst8:
-		r.use(ir(in.Rs1), fr(in.Rs2))
-	case titan.OpFmov, titan.OpFneg:
-		r.def(fr(in.Rd))
-		r.use(fr(in.Rs1))
-	case titan.OpFadd, titan.OpFsub, titan.OpFmul, titan.OpFdiv:
-		r.def(fr(in.Rd))
-		r.use(fr(in.Rs1), fr(in.Rs2))
-	case titan.OpFcmpEq, titan.OpFcmpNe, titan.OpFcmpLt, titan.OpFcmpLe,
-		titan.OpFcmpGt, titan.OpFcmpGe:
-		r.def(ir(in.Rd))
-		r.use(fr(in.Rs1), fr(in.Rs2))
-	case titan.OpCvtIF:
-		r.def(fr(in.Rd))
-		r.use(ir(in.Rs1))
-	case titan.OpCvtFI:
-		r.def(ir(in.Rd))
-		r.use(fr(in.Rs1))
-	case titan.OpVsetl:
-		r.def(regRef{rcVL, 0})
-		r.use(ir(in.Rs1))
-	case titan.OpVld:
-		r.def(vr(in.Rd))
-		r.use(ir(in.Rs1), ir(in.Rs2), regRef{rcVL, 0})
-	case titan.OpVst:
-		r.use(vr(in.Rd), ir(in.Rs1), ir(in.Rs2), regRef{rcVL, 0})
-	case titan.OpVadd, titan.OpVsub, titan.OpVmul, titan.OpVdiv:
-		r.def(vr(in.Rd))
-		r.use(vr(in.Rs1), vr(in.Rs2), regRef{rcVL, 0})
-	case titan.OpVadds, titan.OpVsubs, titan.OpVsubsr, titan.OpVmuls,
-		titan.OpVdivs, titan.OpVdivsr:
-		r.def(vr(in.Rd))
-		r.use(vr(in.Rs1), fr(in.Rs2), regRef{rcVL, 0})
-	case titan.OpVmov:
-		r.def(vr(in.Rd))
-		r.use(vr(in.Rs1), regRef{rcVL, 0})
-	case titan.OpVbcast:
-		r.def(vr(in.Rd))
-		r.use(fr(in.Rs1), regRef{rcVL, 0})
-	case titan.OpVcmpLt, titan.OpVcmpLe, titan.OpVcmpEq, titan.OpVcmpNe:
-		r.def(mk(in.Rd))
-		r.use(vr(in.Rs1), vr(in.Rs2), regRef{rcVL, 0})
-	case titan.OpVcmpLts, titan.OpVcmpLes, titan.OpVcmpEqs, titan.OpVcmpNes:
-		r.def(mk(in.Rd))
-		r.use(vr(in.Rs1), fr(in.Rs2), regRef{rcVL, 0})
-	case titan.OpMand, titan.OpMor:
-		r.def(mk(in.Rd))
-		r.use(mk(in.Rs1), mk(in.Rs2), regRef{rcVL, 0})
-	case titan.OpMnot:
-		r.def(mk(in.Rd))
-		r.use(mk(in.Rs1), regRef{rcVL, 0})
-	case titan.OpVldm:
-		r.def(vr(in.Rd))
-		r.use(ir(in.Rs1), ir(in.Rs2), mk(int(in.Imm>>8)), regRef{rcVL, 0})
-	case titan.OpVstm:
-		r.use(vr(in.Rd), ir(in.Rs1), ir(in.Rs2), mk(int(in.Imm>>8)), regRef{rcVL, 0})
-	case titan.OpVaddm, titan.OpVsubm, titan.OpVmulm, titan.OpVdivm:
-		r.def(vr(in.Rd))
-		r.use(vr(in.Rs1), vr(in.Rs2), mk(int(in.Imm>>8)), regRef{rcVL, 0})
-	case titan.OpArg, titan.OpBeqz, titan.OpBnez:
-		r.use(ir(in.Rs1))
-	case titan.OpFarg:
-		r.use(fr(in.Rs1))
+	info := in.Op.Info()
+	for sl, o := range info.Regs {
+		ref := regRef{o.Class, in.Reg(titan.Slot(sl))}
+		switch {
+		case o.Access == titan.Def:
+			r.defs[r.nDef] = ref
+			r.nDef++
+		case o.Access.Reads():
+			r.uses[r.nUse] = ref
+			r.nUse++
+		}
 	}
 	return r
 }
@@ -243,24 +138,6 @@ func instrRefs(in titan.Instr) (r regRefs) {
 func defsUses(in titan.Instr) (defs, uses []regRef) {
 	r := instrRefs(in)
 	return r.defs[:r.nDef], r.uses[:r.nUse]
-}
-
-func isLoad(op titan.Op) bool {
-	switch op {
-	case titan.OpLd1, titan.OpLd2, titan.OpLd4, titan.OpFld4, titan.OpFld8,
-		titan.OpVld, titan.OpVldm:
-		return true
-	}
-	return false
-}
-
-func isStore(op titan.Op) bool {
-	switch op {
-	case titan.OpSt1, titan.OpSt2, titan.OpSt4, titan.OpFst4, titan.OpFst8,
-		titan.OpVst, titan.OpVstm:
-		return true
-	}
-	return false
 }
 
 // latencyOf estimates result latency for priority computation.
@@ -339,8 +216,8 @@ func scheduleBlock(block []titan.Instr) []int {
 			lastUses[d] = nil
 		}
 		// Memory ordering.
-		op := block[i].Op
-		if isStore(op) {
+		mem := block[i].Op.Info().Mem
+		if mem == titan.MemStore {
 			if lastStore >= 0 {
 				addEdge(lastStore, i)
 			}
@@ -349,7 +226,7 @@ func scheduleBlock(block []titan.Instr) []int {
 			}
 			lastStore = i
 			loadsSinceStore = nil
-		} else if isLoad(op) {
+		} else if mem == titan.MemLoad {
 			if lastStore >= 0 {
 				addEdge(lastStore, i)
 			}
@@ -384,7 +261,7 @@ func scheduleBlock(block []titan.Instr) []int {
 			}
 		}
 		prio[i] = best + latencyOf(block[i].Op)
-		if isLoad(block[i].Op) {
+		if block[i].Op.Info().Mem == titan.MemLoad {
 			prio[i] += 2
 		}
 	}

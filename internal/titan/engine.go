@@ -13,11 +13,11 @@ import (
 // bit-identical Result, but restructured for host throughput:
 //
 //   - every Func is pre-decoded once per Program into a dense []dinstr
-//     with the timing table (unit, latency, occupancy, vl scaling),
-//     operand/destination scoreboard kinds, and branch targets folded
-//     into each instruction, so the hot loop runs one data-driven charge
-//     plus one semantic switch instead of the reference's two full
-//     switches per retired instruction;
+//     with its op table row (isa.go: unit, latency, occupancy, vl
+//     scaling, timed operand and destination slots) and branch targets
+//     folded into each instruction, so the hot loop runs one
+//     data-driven charge plus one semantic switch instead of the
+//     reference's full switches per retired instruction;
 //   - Trace and per-instruction budget checks are hoisted out of the
 //     straight-line path (budget is re-checked at every control
 //     transfer, which every loop must make);
@@ -33,35 +33,6 @@ import (
 //     over the shared slab, joined with the reference's max-delta +
 //     fork-overhead cycle model.
 
-// regKind says which scoreboard array an operand or result lives in.
-type regKind uint8
-
-const (
-	rkNone regKind = iota
-	rkInt
-	rkFlt
-	rkVec
-	rkMask
-)
-
-// unitKind selects the functional unit that executes an op.
-type unitKind uint8
-
-const (
-	uInt unitKind = iota
-	uFlt
-	uMem
-)
-
-// flopKind is the op's contribution to the FLOP count.
-type flopKind uint8
-
-const (
-	fNone flopKind = iota
-	fOne
-	fVL
-)
-
 // fuseKind marks a superinstruction: this op and its successor retire
 // together in one loop iteration.
 type fuseKind uint8
@@ -72,11 +43,10 @@ const (
 	fuseFltBin          // Fld4/Fld8 + Fadd/Fsub/Fmul/Fdiv
 )
 
-// dinstr is one pre-decoded instruction: the Instr operands plus
-// everything dispatch used to recompute per retirement — scoreboard
-// kinds, unit, base latency/occupancy and vl scaling, FLOP class — and
-// resolved control-flow targets. Vector register indices are pre-wrapped
-// into [0, VRFWords).
+// dinstr is one pre-decoded instruction: the Instr operands plus its op
+// table row (isa.go) folded into scoreboard offsets, base latency and
+// occupancy, vl scaling and FLOP counts, and resolved control-flow
+// targets. Vector register indices are pre-wrapped into [0, VRFWords).
 type dinstr struct {
 	// Hot fields first: the dispatch loop and the inlined charge touch
 	// only these, keeping the per-instruction working set to about one
@@ -105,12 +75,6 @@ type dinstr struct {
 	fimm    float64
 
 	fuse   fuseKind
-	s1k    regKind
-	s2k    regKind
-	dk     regKind
-	unit   unitKind
-	vscale uint8 // latency/occupancy grow by vscale·vl
-	fl     flopKind
 	sym    string
 	errMsg string // decode-time diagnosis, raised only if executed
 }
@@ -139,23 +103,24 @@ var (
 // Register indexes are validated here so the unchecked pointer
 // arithmetic in charge can never stray: the reference would panic on
 // the same malformed instruction at execution time, the decoder simply
-// reports it up front.
-func sbOff(k regKind, r int32, write bool) int32 {
+// reports it up front. Classes without a scoreboard slot (none, VL) read
+// sbZero and write sbSink.
+func sbOff(op Op, k RegClass, r int32, write bool) int32 {
 	switch k {
-	case rkInt:
+	case RegInt:
 		if r < 0 || r >= NumIntRegs {
-			panic(fmt.Sprintf("titan: decode: integer register r%d out of range", r))
+			panic(fmt.Sprintf("titan: decode: %v: integer register r%d out of range", op, r))
 		}
 		return offIntReady + 8*r
-	case rkFlt:
+	case RegFlt:
 		if r < 0 || r >= NumFltRegs {
-			panic(fmt.Sprintf("titan: decode: float register f%d out of range", r))
+			panic(fmt.Sprintf("titan: decode: %v: float register f%d out of range", op, r))
 		}
 		return offFltReady + 8*r
-	case rkVec:
+	case RegVec:
 		// Pre-wrapped by the decoder into [0, VRFWords).
 		return offVecReady + 8*r
-	case rkMask:
+	case RegMask:
 		// Pre-wrapped by the decoder into [0, NumMaskRegs).
 		return offMaskReady + 8*r
 	}
@@ -164,6 +129,9 @@ func sbOff(k regKind, r int32, write bool) int32 {
 	}
 	return offSbZero
 }
+
+// unitOff is the byte offset in cpu of each unit's issue clock.
+var unitOff = [...]int32{UnitInt: offIntUnit, UnitFlt: offFltUnit, UnitMem: offMemUnit}
 
 // decode builds the decoded form of every function, once. Concurrent
 // Machines sharing a Program race here only through the sync.Once.
@@ -174,128 +142,6 @@ func (p *Program) decode() {
 			p.decoded[name] = decodeFunc(f)
 		}
 	})
-}
-
-// timeOf is the reference dispatch timing table, factored: latency and
-// occupancy are lat + vscale·vl / occ + vscale·vl.
-func timeOf(op Op) (unit unitKind, vscale uint8, lat, occ int64) {
-	switch op {
-	case OpMul, OpMuli:
-		return uInt, 0, 4, 1
-	case OpDiv, OpRem:
-		return uInt, 0, 12, 8
-	case OpLd1, OpLd2, OpLd4, OpFld4, OpFld8:
-		return uMem, 0, 6, 1
-	case OpSt1, OpSt2, OpSt4, OpFst4, OpFst8, OpPost:
-		return uMem, 0, 1, 1
-	case OpWait:
-		return uMem, 0, waitLatency, 1
-	case OpFadd, OpFsub, OpFmul, OpFneg,
-		OpFcmpEq, OpFcmpNe, OpFcmpLt, OpFcmpLe, OpFcmpGt, OpFcmpGe,
-		OpCvtIF, OpCvtFI, OpFmov, OpFldi:
-		return uFlt, 0, 6, 1
-	case OpFdiv:
-		return uFlt, 0, 18, 12
-	case OpVld, OpVst, OpVldm, OpVstm:
-		return uMem, 1, 6, 2
-	case OpVadd, OpVsub, OpVmul, OpVadds, OpVsubs, OpVsubsr, OpVmuls, OpVmov, OpVbcast,
-		OpVaddm, OpVsubm, OpVmulm,
-		OpVcmpLt, OpVcmpLe, OpVcmpEq, OpVcmpNe,
-		OpVcmpLts, OpVcmpLes, OpVcmpEqs, OpVcmpNes:
-		return uFlt, 1, 8, 4
-	case OpVdiv, OpVdivs, OpVdivsr, OpVdivm:
-		return uFlt, 2, 12, 8
-	case OpMand, OpMor, OpMnot:
-		return uInt, 0, 2, 1
-	case OpJmp, OpBeqz, OpBnez:
-		return uInt, 0, 2, 1
-	case OpCall:
-		return uInt, 0, 10, 10
-	case OpRet:
-		return uInt, 0, 8, 8
-	default:
-		return uInt, 0, 1, 1
-	}
-}
-
-// srcKinds is the reference dispatch operand-readiness table.
-func srcKinds(op Op) (s1k, s2k regKind) {
-	switch op {
-	case OpMov, OpNeg, OpNot, OpBnot, OpAddi, OpMuli, OpBeqz, OpBnez, OpArg,
-		OpVsetl, OpCvtIF, OpPid, OpNproc,
-		OpLd1, OpLd2, OpLd4, OpFld4, OpFld8,
-		OpSt1, OpSt2, OpSt4, OpFst4, OpFst8:
-		return rkInt, rkNone
-	case OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor, OpShl, OpShr,
-		OpCmpEq, OpCmpNe, OpCmpLt, OpCmpLe, OpCmpGt, OpCmpGe,
-		OpVld, OpVst, OpPost, OpWait:
-		return rkInt, rkInt
-	case OpFmov, OpFneg, OpCvtFI, OpFarg, OpVbcast:
-		return rkFlt, rkNone
-	case OpFadd, OpFsub, OpFmul, OpFdiv,
-		OpFcmpEq, OpFcmpNe, OpFcmpLt, OpFcmpLe, OpFcmpGt, OpFcmpGe:
-		return rkFlt, rkFlt
-	case OpVadd, OpVsub, OpVmul, OpVdiv, OpVmov,
-		OpVcmpLt, OpVcmpLe, OpVcmpEq, OpVcmpNe,
-		OpVaddm, OpVsubm, OpVmulm, OpVdivm:
-		return rkVec, rkVec
-	case OpVadds, OpVsubs, OpVsubsr, OpVmuls, OpVdivs, OpVdivsr,
-		OpVcmpLts, OpVcmpLes, OpVcmpEqs, OpVcmpNes:
-		return rkVec, rkFlt
-	case OpMand, OpMor:
-		return rkMask, rkMask
-	case OpMnot:
-		return rkMask, rkNone
-	case OpVldm, OpVstm:
-		return rkInt, rkInt
-	}
-	return rkNone, rkNone
-}
-
-// dstKind is the reference dispatch result-readiness table.
-func dstKind(op Op) regKind {
-	switch op {
-	case OpLdi, OpMov, OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor,
-		OpShl, OpShr, OpAddi, OpMuli, OpNeg, OpNot, OpBnot,
-		OpCmpEq, OpCmpNe, OpCmpLt, OpCmpLe, OpCmpGt, OpCmpGe,
-		OpLd1, OpLd2, OpLd4, OpCvtFI, OpPid, OpNproc,
-		OpFcmpEq, OpFcmpNe, OpFcmpLt, OpFcmpLe, OpFcmpGt, OpFcmpGe:
-		return rkInt
-	case OpFldi, OpFmov, OpFadd, OpFsub, OpFmul, OpFdiv, OpFneg, OpCvtIF,
-		OpFld4, OpFld8:
-		return rkFlt
-	case OpVld, OpVadd, OpVsub, OpVmul, OpVdiv,
-		OpVadds, OpVsubs, OpVsubsr, OpVmuls, OpVdivs, OpVdivsr, OpVmov, OpVbcast,
-		OpVldm, OpVaddm, OpVsubm, OpVmulm, OpVdivm:
-		return rkVec
-	case OpVcmpLt, OpVcmpLe, OpVcmpEq, OpVcmpNe,
-		OpVcmpLts, OpVcmpLes, OpVcmpEqs, OpVcmpNes,
-		OpMand, OpMor, OpMnot:
-		return rkMask
-	}
-	return rkNone
-}
-
-func flopOf(op Op) flopKind {
-	switch op {
-	case OpFadd, OpFsub, OpFmul, OpFdiv:
-		return fOne
-	case OpVadd, OpVsub, OpVmul, OpVdiv,
-		OpVadds, OpVsubs, OpVsubsr, OpVmuls, OpVdivs, OpVdivsr,
-		OpVaddm, OpVsubm, OpVmulm, OpVdivm:
-		return fVL
-	}
-	return fNone
-}
-
-// maskedVecOp reports whether op reads a governing mask register out of
-// Imm bits 8.. (the third scoreboard operand).
-func maskedVecOp(op Op) bool {
-	switch op {
-	case OpVldm, OpVstm, OpVaddm, OpVsubm, OpVmulm, OpVdivm:
-		return true
-	}
-	return false
 }
 
 // fusableALU ops may lead a fuseBranch pair: register-only, no faults,
@@ -318,6 +164,28 @@ func isFltBin(op Op) bool {
 	return false
 }
 
+// timed is the scoreboard class dispatch waits on in slot sl, or
+// RegNone if the row does not time that slot.
+func (info *OpInfo) timed(sl Slot) RegClass {
+	if o := info.Regs[sl]; o.Access.Waits() {
+		return o.Class
+	}
+	return RegNone
+}
+
+// wrapReg pre-wraps vector and mask register indices, timed or not (a
+// vst's data slot too), so the hot path indexes the ready arrays and
+// kernel fast paths directly.
+func wrapReg(k RegClass, r int) int32 {
+	switch k {
+	case RegVec:
+		return int32(vslot(r))
+	case RegMask:
+		return int32(mslot(r))
+	}
+	return int32(r)
+}
+
 func decodeFunc(f *Func) *dfunc {
 	n := len(f.Instrs)
 	df := &dfunc{name: f.Name, code: make([]dinstr, n)}
@@ -330,51 +198,25 @@ func decodeFunc(f *Func) *dfunc {
 	for pc, in := range f.Instrs {
 		d := &df.code[pc]
 		d.op = in.Op
-		d.rd, d.rs1, d.rs2 = int32(in.Rd), int32(in.Rs1), int32(in.Rs2)
 		d.imm, d.fimm, d.sym = in.Imm, in.FImm, in.Sym
-		d.s1k, d.s2k = srcKinds(in.Op)
-		d.dk = dstKind(in.Op)
-		var lat, occ int64
-		d.unit, d.vscale, lat, occ = timeOf(in.Op)
-		d.lat, d.occ = int32(lat), int32(occ)
-		d.vsc = int32(d.vscale)
-		d.fl = flopOf(in.Op)
-		// Pre-wrap vector and mask register file indices, so the hot path
-		// indexes the ready arrays and kernel fast paths directly.
-		if d.s1k == rkVec {
-			d.rs1 = int32(vslot(in.Rs1))
-		} else if d.s1k == rkMask {
-			d.rs1 = int32(mslot(in.Rs1))
+		info := in.Op.Info()
+		d.rd = wrapReg(info.Regs[SlotRd].Class, in.Rd)
+		d.rs1 = wrapReg(info.Regs[SlotRs1].Class, in.Rs1)
+		d.rs2 = wrapReg(info.Regs[SlotRs2].Class, in.Rs2)
+		d.s1off = sbOff(in.Op, info.timed(SlotRs1), d.rs1, false)
+		d.s2off = sbOff(in.Op, info.timed(SlotRs2), d.rs2, false)
+		d.s3off = sbOff(in.Op, info.timed(SlotMask), int32(maskReg(in)), false)
+		dk := RegNone
+		if o := info.Regs[SlotRd]; o.Access == Def {
+			dk = o.Class
 		}
-		if d.s2k == rkVec {
-			d.rs2 = int32(vslot(in.Rs2))
-		} else if d.s2k == rkMask {
-			d.rs2 = int32(mslot(in.Rs2))
-		}
-		if d.dk == rkVec {
-			d.rd = int32(vslot(in.Rd))
-		} else if d.dk == rkMask {
-			d.rd = int32(mslot(in.Rd))
-		}
-		d.s1off = sbOff(d.s1k, d.rs1, false)
-		d.s2off = sbOff(d.s2k, d.rs2, false)
-		d.s3off = offSbZero
-		if maskedVecOp(in.Op) {
-			d.s3off = sbOff(rkMask, int32(maskReg(in)), false)
-		}
-		d.doff = sbOff(d.dk, d.rd, true)
-		switch d.unit {
-		case uInt:
-			d.unitOff = offIntUnit
-		case uFlt:
-			d.unitOff = offFltUnit
-		default:
-			d.unitOff = offMemUnit
-		}
-		switch d.fl {
-		case fOne:
+		d.doff = sbOff(in.Op, dk, d.rd, true)
+		d.unitOff = unitOff[info.Unit]
+		d.lat, d.occ, d.vsc = int32(info.Lat), int32(info.Occ), int32(info.VLScale)
+		switch info.Flops {
+		case FlopOne:
 			d.flc = 1
-		case fVL:
+		case FlopVL:
 			d.flv = 1
 		}
 		switch in.Op {

@@ -136,7 +136,8 @@ func TestEngineDifferentialVector(t *testing.T) {
 }
 
 // TestEngineDifferentialVRFWrap drives vector ops whose register windows
-// wrap around the end of the register file, exercising the slow paths.
+// wrap around the end (or start) of the register file, exercising the
+// slow paths.
 func TestEngineDifferentialVRFWrap(t *testing.T) {
 	mk := func() *Program {
 		return mkProg([]Instr{
@@ -151,6 +152,9 @@ func TestEngineDifferentialVRFWrap(t *testing.T) {
 			{Op: OpVbcast, Rd: VRFWords - 3, Rs1: 20},
 			{Op: OpVadd, Rd: 100, Rs1: VRFWords - 9, Rs2: VRFWords - 3},
 			{Op: OpVst, Rd: 100, Rs1: 10, Rs2: 12, Imm: ElemF32},
+			// A negative store slot wraps like every other register
+			// window (the engine used to slice the file with it).
+			{Op: OpVst, Rd: -7, Rs1: 10, Rs2: 12, Imm: ElemF32},
 			{Op: OpRet},
 		}, nil)
 	}

@@ -150,6 +150,8 @@ const (
 	OpVsubm
 	OpVmulm
 	OpVdivm
+
+	numOps // the op table's length; not an opcode
 )
 
 // NumMaskRegs is the size of the vector-mask register file: each mask
@@ -189,109 +191,349 @@ type Instr struct {
 	Sym  string // label or callee
 }
 
-var opNames = map[Op]string{
-	OpNop: "nop", OpLdi: "ldi", OpMov: "mov", OpAdd: "add", OpSub: "sub",
-	OpMul: "mul", OpDiv: "div", OpRem: "rem", OpAnd: "and", OpOr: "or",
-	OpXor: "xor", OpShl: "shl", OpShr: "shr", OpAddi: "addi", OpMuli: "muli",
-	OpNeg: "neg", OpNot: "not", OpBnot: "bnot",
-	OpCmpEq: "cmpeq", OpCmpNe: "cmpne", OpCmpLt: "cmplt", OpCmpLe: "cmple",
-	OpCmpGt: "cmpgt", OpCmpGe: "cmpge", OpPid: "pid", OpNproc: "nproc",
-	OpLd1: "ld1", OpLd2: "ld2", OpLd4: "ld4",
-	OpSt1: "st1", OpSt2: "st2", OpSt4: "st4",
-	OpFld4: "fld4", OpFld8: "fld8", OpFst4: "fst4", OpFst8: "fst8",
-	OpFldi: "fldi", OpFmov: "fmov", OpFadd: "fadd", OpFsub: "fsub",
-	OpFmul: "fmul", OpFdiv: "fdiv", OpFneg: "fneg",
-	OpFcmpEq: "fcmpeq", OpFcmpNe: "fcmpne", OpFcmpLt: "fcmplt",
-	OpFcmpLe: "fcmple", OpFcmpGt: "fcmpgt", OpFcmpGe: "fcmpge",
-	OpCvtIF: "cvtif", OpCvtFI: "cvtfi",
-	OpVsetl: "vsetl", OpVld: "vld", OpVst: "vst",
-	OpVadd: "vadd", OpVsub: "vsub", OpVmul: "vmul", OpVdiv: "vdiv",
-	OpVadds: "vadds", OpVsubs: "vsubs", OpVsubsr: "vsubsr",
-	OpVmuls: "vmuls", OpVdivs: "vdivs", OpVdivsr: "vdivsr", OpVmov: "vmov",
-	OpVbcast: "vbcast",
-	OpJmp:    "jmp", OpBeqz: "beqz", OpBnez: "bnez", OpCall: "call",
-	OpRet: "ret", OpArg: "arg", OpFarg: "farg", OpHalt: "halt",
-	OpParBegin: "par.begin", OpParEnd: "par.end",
-	OpPost: "post", OpWait: "wait",
-	OpVcmpLt: "vcmp.lt", OpVcmpLe: "vcmp.le", OpVcmpEq: "vcmp.eq",
-	OpVcmpNe: "vcmp.ne", OpVcmpLts: "vcmp.lts", OpVcmpLes: "vcmp.les",
-	OpVcmpEqs: "vcmp.eqs", OpVcmpNes: "vcmp.nes",
-	OpMand: "mand", OpMor: "mor", OpMnot: "mnot",
-	OpVldm: "vld.m", OpVstm: "vst.m",
-	OpVaddm: "vadd.m", OpVsubm: "vsub.m", OpVmulm: "vmul.m", OpVdivm: "vdiv.m",
+// The op table. Every per-opcode fact the back end needs apart from
+// semantics lives in one row of opInfo: the disassembler's mnemonic and
+// operand layout, the scoreboard timing the fast engine decodes (§2), and
+// the register, memory and control effects the list scheduler (§6) and
+// peephole order by. The reference interpreter's dispatch keeps its own
+// switches as the independent check of this table (opinfo_test.go).
+
+// Unit is a functional unit of one processor (§2).
+type Unit uint8
+
+const (
+	UnitInt Unit = iota // integer unit: ALU, branches, mask logic
+	UnitFlt             // floating-point unit: scalar FP and all vector arithmetic
+	UnitMem             // the pipelined path to memory
+)
+
+// RegClass is a register file, or the implicit VL register.
+type RegClass uint8
+
+const (
+	RegNone RegClass = iota
+	RegInt
+	RegFlt
+	RegVec  // vector register file slot (wraps mod VRFWords)
+	RegMask // vector-mask register (wraps mod NumMaskRegs)
+	RegVL   // the vector length register set by vsetl
+)
+
+// Access is how an op touches one operand slot.
+type Access uint8
+
+const (
+	NoAccess Access = iota
+	Def             // written: its ready-time becomes the op's completion
+	Use             // read: dispatch waits until it is ready
+	// UseNoWait is read but dispatch does not wait for it: store data
+	// drains through the store buffer, and the VL register has no
+	// scoreboard slot (the scheduler alone orders vector ops after vsetl).
+	UseNoWait
+	// WaitOnly is not read, yet dispatch waits for it: the Titan timing
+	// model has always charged pid/nproc a read of rs1 and vmov a read
+	// of rs2.
+	WaitOnly
+)
+
+// Reads reports whether the op really reads the slot (what the
+// scheduler and peephole order by).
+func (a Access) Reads() bool { return a == Use || a == UseNoWait }
+
+// Waits reports whether dispatch waits on the slot's ready-time.
+func (a Access) Waits() bool { return a == Use || a == WaitOnly }
+
+// Slot indexes an instruction's operand slots.
+type Slot uint8
+
+const (
+	SlotRd Slot = iota
+	SlotRs1
+	SlotRs2
+	SlotVL   // the implicit VL register
+	SlotMask // Imm>>8: the governing mask register of masked vector ops
+	NumSlots
+)
+
+// Reg returns the register number in slot s of in (0 for VL).
+func (in Instr) Reg(s Slot) int {
+	switch s {
+	case SlotRd:
+		return in.Rd
+	case SlotRs1:
+		return in.Rs1
+	case SlotRs2:
+		return in.Rs2
+	case SlotMask:
+		return int(in.Imm >> 8)
+	}
+	return 0
 }
 
-// String disassembles one instruction.
-func (in Instr) String() string {
-	n := opNames[in.Op]
-	switch in.Op {
-	case OpNop, OpRet, OpHalt, OpParBegin, OpParEnd:
-		return n
-	case OpLdi:
-		return fmt.Sprintf("%s r%d, %d", n, in.Rd, in.Imm)
-	case OpFldi:
-		return fmt.Sprintf("%s f%d, %g", n, in.Rd, in.FImm)
-	case OpMov, OpNeg, OpNot, OpBnot:
-		return fmt.Sprintf("%s r%d, r%d", n, in.Rd, in.Rs1)
-	case OpFmov, OpFneg:
-		return fmt.Sprintf("%s f%d, f%d", n, in.Rd, in.Rs1)
-	case OpAddi, OpMuli:
-		return fmt.Sprintf("%s r%d, r%d, %d", n, in.Rd, in.Rs1, in.Imm)
-	case OpLd1, OpLd2, OpLd4:
-		return fmt.Sprintf("%s r%d, %d(r%d)", n, in.Rd, in.Imm, in.Rs1)
-	case OpSt1, OpSt2, OpSt4:
-		return fmt.Sprintf("%s r%d, %d(r%d)", n, in.Rs2, in.Imm, in.Rs1)
-	case OpFld4, OpFld8:
-		return fmt.Sprintf("%s f%d, %d(r%d)", n, in.Rd, in.Imm, in.Rs1)
-	case OpFst4, OpFst8:
-		return fmt.Sprintf("%s f%d, %d(r%d)", n, in.Rs2, in.Imm, in.Rs1)
-	case OpFadd, OpFsub, OpFmul, OpFdiv:
-		return fmt.Sprintf("%s f%d, f%d, f%d", n, in.Rd, in.Rs1, in.Rs2)
-	case OpFcmpEq, OpFcmpNe, OpFcmpLt, OpFcmpLe, OpFcmpGt, OpFcmpGe:
-		return fmt.Sprintf("%s r%d, f%d, f%d", n, in.Rd, in.Rs1, in.Rs2)
-	case OpCvtIF:
-		return fmt.Sprintf("%s f%d, r%d", n, in.Rd, in.Rs1)
-	case OpCvtFI:
-		return fmt.Sprintf("%s r%d, f%d", n, in.Rd, in.Rs1)
-	case OpVsetl:
-		return fmt.Sprintf("%s r%d", n, in.Rs1)
-	case OpPost, OpWait:
-		return fmt.Sprintf("%s r%d, r%d", n, in.Rs1, in.Rs2)
-	case OpVld, OpVst:
-		return fmt.Sprintf("%s v%d, (r%d), r%d, ek%d", n, in.Rd, in.Rs1, in.Rs2, in.Imm)
-	case OpVldm, OpVstm:
-		return fmt.Sprintf("%s v%d, (r%d), r%d, ek%d, m%d", n, in.Rd, in.Rs1, in.Rs2, in.Imm&0xff, in.Imm>>8)
-	case OpVadd, OpVsub, OpVmul, OpVdiv:
-		return fmt.Sprintf("%s v%d, v%d, v%d", n, in.Rd, in.Rs1, in.Rs2)
-	case OpVaddm, OpVsubm, OpVmulm, OpVdivm:
-		return fmt.Sprintf("%s v%d, v%d, v%d, m%d", n, in.Rd, in.Rs1, in.Rs2, in.Imm>>8)
-	case OpVadds, OpVsubs, OpVsubsr, OpVmuls, OpVdivs, OpVdivsr:
-		return fmt.Sprintf("%s v%d, v%d, f%d", n, in.Rd, in.Rs1, in.Rs2)
-	case OpVcmpLt, OpVcmpLe, OpVcmpEq, OpVcmpNe:
-		return fmt.Sprintf("%s m%d, v%d, v%d", n, in.Rd, in.Rs1, in.Rs2)
-	case OpVcmpLts, OpVcmpLes, OpVcmpEqs, OpVcmpNes:
-		return fmt.Sprintf("%s m%d, v%d, f%d", n, in.Rd, in.Rs1, in.Rs2)
-	case OpMand, OpMor:
-		return fmt.Sprintf("%s m%d, m%d, m%d", n, in.Rd, in.Rs1, in.Rs2)
-	case OpMnot:
-		return fmt.Sprintf("%s m%d, m%d", n, in.Rd, in.Rs1)
-	case OpVmov:
-		return fmt.Sprintf("%s v%d, v%d", n, in.Rd, in.Rs1)
-	case OpVbcast:
-		return fmt.Sprintf("%s v%d, f%d", n, in.Rd, in.Rs1)
-	case OpJmp:
-		return fmt.Sprintf("%s %s", n, in.Sym)
-	case OpBeqz, OpBnez:
-		return fmt.Sprintf("%s r%d, %s", n, in.Rs1, in.Sym)
-	case OpCall:
-		return fmt.Sprintf("%s %s", n, in.Sym)
-	case OpArg:
-		return fmt.Sprintf("%s r%d", n, in.Rs1)
-	case OpFarg:
-		return fmt.Sprintf("%s f%d", n, in.Rs1)
-	default:
-		return fmt.Sprintf("%s r%d, r%d, r%d", n, in.Rd, in.Rs1, in.Rs2)
+// Operand is one slot's register class and access.
+type Operand struct {
+	Class  RegClass
+	Access Access
+}
+
+// FlopClass is an op's contribution to the FLOP count.
+type FlopClass uint8
+
+const (
+	FlopNone FlopClass = iota
+	FlopOne            // one per retirement
+	FlopVL             // one per lane of the active vector length (masked ops count every lane)
+)
+
+// MemEffect is how the scheduler orders an op against memory.
+type MemEffect uint8
+
+const (
+	MemNone MemEffect = iota
+	// MemLoad reads memory: it orders against stores, not other loads.
+	MemLoad
+	// MemStore writes or synchronizes memory and orders against every
+	// memory op: a post publishes only after the stores before it, and
+	// nothing a wait guards may rise above it (a load-like wait would let
+	// a later load read the guarded data early).
+	MemStore
+)
+
+// Flow says whether an op ends a straight-line region.
+type Flow uint8
+
+const (
+	FlowNone Flow = iota
+	// FlowArg appends to the outgoing argument list, so the list
+	// scheduler keeps it in place between the regions it schedules.
+	FlowArg
+	// FlowControl transfers or may transfer control: it ends a basic
+	// block for the scheduler and a scratch live range for the peephole.
+	FlowControl
+)
+
+// Format is an operand print layout; register prefixes come from the
+// slot classes (f float, v vector, m mask, r otherwise).
+type Format uint8
+
+const (
+	FmtNone     Format = iota // op
+	FmtRdImm                  // op rd, imm
+	FmtRdFImm                 // op rd, fimm
+	FmtRdRs1                  // op rd, rs1
+	FmtRdRs1Imm               // op rd, rs1, imm
+	FmtRdRs1Rs2               // op rd, rs1, rs2
+	FmtRs1                    // op rs1
+	FmtRs1Rs2                 // op rs1, rs2
+	FmtLoad                   // op rd, imm(rs1)
+	FmtStore                  // op rs2, imm(rs1)
+	FmtVecMem                 // op rd, (rs1), rs2, ek<imm>
+	FmtSym                    // op sym
+	FmtRs1Sym                 // op rs1, sym
+)
+
+// OpInfo is one opcode's row of the op table.
+type OpInfo struct {
+	Name   string
+	Format Format
+	Unit   Unit
+	// Lat is issue-to-result latency and Occ the cycles the unit stays
+	// busy; both grow by VLScale·max(vl, 1) (vectors cost startup + N).
+	Lat, Occ, VLScale uint8
+	Flops             FlopClass
+	Regs              [NumSlots]Operand // indexed by Slot
+	Mem               MemEffect
+	Flow              Flow
+}
+
+// Info returns op's row; an opcode outside the table gets the timing
+// every unknown op has always been charged and no operands.
+func (op Op) Info() OpInfo {
+	if op >= 0 && op < numOps {
+		return opInfo[op]
 	}
+	return OpInfo{Name: fmt.Sprintf("op(%d)", int(op)), Format: FmtRdRs1Rs2, Lat: 1, Occ: 1}
+}
+
+// String is op's mnemonic.
+func (op Op) String() string { return op.Info().Name }
+
+// Operand shorthands for the table: the first letter is the access
+// (d Def, u Use, n UseNoWait, w WaitOnly), the second the class (I int,
+// F float, V vector, M mask, L the VL register).
+var (
+	dI, uI, nI, wI = Operand{RegInt, Def}, Operand{RegInt, Use}, Operand{RegInt, UseNoWait}, Operand{RegInt, WaitOnly}
+	dF, uF, nF     = Operand{RegFlt, Def}, Operand{RegFlt, Use}, Operand{RegFlt, UseNoWait}
+	dV, uV, nV, wV = Operand{RegVec, Def}, Operand{RegVec, Use}, Operand{RegVec, UseNoWait}, Operand{RegVec, WaitOnly}
+	dM, uM         = Operand{RegMask, Def}, Operand{RegMask, Use}
+	dL, nL         = Operand{RegVL, Def}, Operand{RegVL, UseNoWait}
+	__             = Operand{}
+)
+
+type slots = [NumSlots]Operand
+
+// opInfo is the op table, indexed by Op. Columns: name, format, unit,
+// lat, occ, vl scale, flops, operand slots {rd, rs1, rs2, vl, mask},
+// memory effect, flow.
+var opInfo = [numOps]OpInfo{
+	OpNop:   {"nop", FmtNone, UnitInt, 1, 1, 0, FlopNone, slots{}, MemNone, FlowNone},
+	OpLdi:   {"ldi", FmtRdImm, UnitInt, 1, 1, 0, FlopNone, slots{dI}, MemNone, FlowNone},
+	OpMov:   {"mov", FmtRdRs1, UnitInt, 1, 1, 0, FlopNone, slots{dI, uI}, MemNone, FlowNone},
+	OpAdd:   {"add", FmtRdRs1Rs2, UnitInt, 1, 1, 0, FlopNone, slots{dI, uI, uI}, MemNone, FlowNone},
+	OpSub:   {"sub", FmtRdRs1Rs2, UnitInt, 1, 1, 0, FlopNone, slots{dI, uI, uI}, MemNone, FlowNone},
+	OpMul:   {"mul", FmtRdRs1Rs2, UnitInt, 4, 1, 0, FlopNone, slots{dI, uI, uI}, MemNone, FlowNone},
+	OpDiv:   {"div", FmtRdRs1Rs2, UnitInt, 12, 8, 0, FlopNone, slots{dI, uI, uI}, MemNone, FlowNone},
+	OpRem:   {"rem", FmtRdRs1Rs2, UnitInt, 12, 8, 0, FlopNone, slots{dI, uI, uI}, MemNone, FlowNone},
+	OpAnd:   {"and", FmtRdRs1Rs2, UnitInt, 1, 1, 0, FlopNone, slots{dI, uI, uI}, MemNone, FlowNone},
+	OpOr:    {"or", FmtRdRs1Rs2, UnitInt, 1, 1, 0, FlopNone, slots{dI, uI, uI}, MemNone, FlowNone},
+	OpXor:   {"xor", FmtRdRs1Rs2, UnitInt, 1, 1, 0, FlopNone, slots{dI, uI, uI}, MemNone, FlowNone},
+	OpShl:   {"shl", FmtRdRs1Rs2, UnitInt, 1, 1, 0, FlopNone, slots{dI, uI, uI}, MemNone, FlowNone},
+	OpShr:   {"shr", FmtRdRs1Rs2, UnitInt, 1, 1, 0, FlopNone, slots{dI, uI, uI}, MemNone, FlowNone},
+	OpAddi:  {"addi", FmtRdRs1Imm, UnitInt, 1, 1, 0, FlopNone, slots{dI, uI}, MemNone, FlowNone},
+	OpMuli:  {"muli", FmtRdRs1Imm, UnitInt, 4, 1, 0, FlopNone, slots{dI, uI}, MemNone, FlowNone},
+	OpNeg:   {"neg", FmtRdRs1, UnitInt, 1, 1, 0, FlopNone, slots{dI, uI}, MemNone, FlowNone},
+	OpNot:   {"not", FmtRdRs1, UnitInt, 1, 1, 0, FlopNone, slots{dI, uI}, MemNone, FlowNone},
+	OpBnot:  {"bnot", FmtRdRs1, UnitInt, 1, 1, 0, FlopNone, slots{dI, uI}, MemNone, FlowNone},
+	OpCmpEq: {"cmpeq", FmtRdRs1Rs2, UnitInt, 1, 1, 0, FlopNone, slots{dI, uI, uI}, MemNone, FlowNone},
+	OpCmpNe: {"cmpne", FmtRdRs1Rs2, UnitInt, 1, 1, 0, FlopNone, slots{dI, uI, uI}, MemNone, FlowNone},
+	OpCmpLt: {"cmplt", FmtRdRs1Rs2, UnitInt, 1, 1, 0, FlopNone, slots{dI, uI, uI}, MemNone, FlowNone},
+	OpCmpLe: {"cmple", FmtRdRs1Rs2, UnitInt, 1, 1, 0, FlopNone, slots{dI, uI, uI}, MemNone, FlowNone},
+	OpCmpGt: {"cmpgt", FmtRdRs1Rs2, UnitInt, 1, 1, 0, FlopNone, slots{dI, uI, uI}, MemNone, FlowNone},
+	OpCmpGe: {"cmpge", FmtRdRs1Rs2, UnitInt, 1, 1, 0, FlopNone, slots{dI, uI, uI}, MemNone, FlowNone},
+	// pid/nproc print in the three-register layout they always have.
+	OpPid:   {"pid", FmtRdRs1Rs2, UnitInt, 1, 1, 0, FlopNone, slots{dI, wI}, MemNone, FlowNone},
+	OpNproc: {"nproc", FmtRdRs1Rs2, UnitInt, 1, 1, 0, FlopNone, slots{dI, wI}, MemNone, FlowNone},
+
+	OpLd1:  {"ld1", FmtLoad, UnitMem, 6, 1, 0, FlopNone, slots{dI, uI}, MemLoad, FlowNone},
+	OpLd2:  {"ld2", FmtLoad, UnitMem, 6, 1, 0, FlopNone, slots{dI, uI}, MemLoad, FlowNone},
+	OpLd4:  {"ld4", FmtLoad, UnitMem, 6, 1, 0, FlopNone, slots{dI, uI}, MemLoad, FlowNone},
+	OpSt1:  {"st1", FmtStore, UnitMem, 1, 1, 0, FlopNone, slots{__, uI, nI}, MemStore, FlowNone},
+	OpSt2:  {"st2", FmtStore, UnitMem, 1, 1, 0, FlopNone, slots{__, uI, nI}, MemStore, FlowNone},
+	OpSt4:  {"st4", FmtStore, UnitMem, 1, 1, 0, FlopNone, slots{__, uI, nI}, MemStore, FlowNone},
+	OpFld4: {"fld4", FmtLoad, UnitMem, 6, 1, 0, FlopNone, slots{dF, uI}, MemLoad, FlowNone},
+	OpFld8: {"fld8", FmtLoad, UnitMem, 6, 1, 0, FlopNone, slots{dF, uI}, MemLoad, FlowNone},
+	OpFst4: {"fst4", FmtStore, UnitMem, 1, 1, 0, FlopNone, slots{__, uI, nF}, MemStore, FlowNone},
+	OpFst8: {"fst8", FmtStore, UnitMem, 1, 1, 0, FlopNone, slots{__, uI, nF}, MemStore, FlowNone},
+
+	OpFldi:   {"fldi", FmtRdFImm, UnitFlt, 6, 1, 0, FlopNone, slots{dF}, MemNone, FlowNone},
+	OpFmov:   {"fmov", FmtRdRs1, UnitFlt, 6, 1, 0, FlopNone, slots{dF, uF}, MemNone, FlowNone},
+	OpFadd:   {"fadd", FmtRdRs1Rs2, UnitFlt, 6, 1, 0, FlopOne, slots{dF, uF, uF}, MemNone, FlowNone},
+	OpFsub:   {"fsub", FmtRdRs1Rs2, UnitFlt, 6, 1, 0, FlopOne, slots{dF, uF, uF}, MemNone, FlowNone},
+	OpFmul:   {"fmul", FmtRdRs1Rs2, UnitFlt, 6, 1, 0, FlopOne, slots{dF, uF, uF}, MemNone, FlowNone},
+	OpFdiv:   {"fdiv", FmtRdRs1Rs2, UnitFlt, 18, 12, 0, FlopOne, slots{dF, uF, uF}, MemNone, FlowNone},
+	OpFneg:   {"fneg", FmtRdRs1, UnitFlt, 6, 1, 0, FlopNone, slots{dF, uF}, MemNone, FlowNone},
+	OpFcmpEq: {"fcmpeq", FmtRdRs1Rs2, UnitFlt, 6, 1, 0, FlopNone, slots{dI, uF, uF}, MemNone, FlowNone},
+	OpFcmpNe: {"fcmpne", FmtRdRs1Rs2, UnitFlt, 6, 1, 0, FlopNone, slots{dI, uF, uF}, MemNone, FlowNone},
+	OpFcmpLt: {"fcmplt", FmtRdRs1Rs2, UnitFlt, 6, 1, 0, FlopNone, slots{dI, uF, uF}, MemNone, FlowNone},
+	OpFcmpLe: {"fcmple", FmtRdRs1Rs2, UnitFlt, 6, 1, 0, FlopNone, slots{dI, uF, uF}, MemNone, FlowNone},
+	OpFcmpGt: {"fcmpgt", FmtRdRs1Rs2, UnitFlt, 6, 1, 0, FlopNone, slots{dI, uF, uF}, MemNone, FlowNone},
+	OpFcmpGe: {"fcmpge", FmtRdRs1Rs2, UnitFlt, 6, 1, 0, FlopNone, slots{dI, uF, uF}, MemNone, FlowNone},
+	OpCvtIF:  {"cvtif", FmtRdRs1, UnitFlt, 6, 1, 0, FlopNone, slots{dF, uI}, MemNone, FlowNone},
+	OpCvtFI:  {"cvtfi", FmtRdRs1, UnitFlt, 6, 1, 0, FlopNone, slots{dI, uF}, MemNone, FlowNone},
+
+	// Vector memory streams one element per cycle after a short setup
+	// (§2); vector stores drain through the store buffer like scalar ones.
+	OpVsetl:  {"vsetl", FmtRs1, UnitInt, 1, 1, 0, FlopNone, slots{__, uI, __, dL}, MemNone, FlowNone},
+	OpVld:    {"vld", FmtVecMem, UnitMem, 6, 2, 1, FlopNone, slots{dV, uI, uI, nL}, MemLoad, FlowNone},
+	OpVst:    {"vst", FmtVecMem, UnitMem, 6, 2, 1, FlopNone, slots{nV, uI, uI, nL}, MemStore, FlowNone},
+	OpVadd:   {"vadd", FmtRdRs1Rs2, UnitFlt, 8, 4, 1, FlopVL, slots{dV, uV, uV, nL}, MemNone, FlowNone},
+	OpVsub:   {"vsub", FmtRdRs1Rs2, UnitFlt, 8, 4, 1, FlopVL, slots{dV, uV, uV, nL}, MemNone, FlowNone},
+	OpVmul:   {"vmul", FmtRdRs1Rs2, UnitFlt, 8, 4, 1, FlopVL, slots{dV, uV, uV, nL}, MemNone, FlowNone},
+	OpVdiv:   {"vdiv", FmtRdRs1Rs2, UnitFlt, 12, 8, 2, FlopVL, slots{dV, uV, uV, nL}, MemNone, FlowNone},
+	OpVadds:  {"vadds", FmtRdRs1Rs2, UnitFlt, 8, 4, 1, FlopVL, slots{dV, uV, uF, nL}, MemNone, FlowNone},
+	OpVsubs:  {"vsubs", FmtRdRs1Rs2, UnitFlt, 8, 4, 1, FlopVL, slots{dV, uV, uF, nL}, MemNone, FlowNone},
+	OpVsubsr: {"vsubsr", FmtRdRs1Rs2, UnitFlt, 8, 4, 1, FlopVL, slots{dV, uV, uF, nL}, MemNone, FlowNone},
+	OpVmuls:  {"vmuls", FmtRdRs1Rs2, UnitFlt, 8, 4, 1, FlopVL, slots{dV, uV, uF, nL}, MemNone, FlowNone},
+	OpVdivs:  {"vdivs", FmtRdRs1Rs2, UnitFlt, 12, 8, 2, FlopVL, slots{dV, uV, uF, nL}, MemNone, FlowNone},
+	OpVdivsr: {"vdivsr", FmtRdRs1Rs2, UnitFlt, 12, 8, 2, FlopVL, slots{dV, uV, uF, nL}, MemNone, FlowNone},
+	OpVmov:   {"vmov", FmtRdRs1, UnitFlt, 8, 4, 1, FlopNone, slots{dV, uV, wV, nL}, MemNone, FlowNone},
+	OpVbcast: {"vbcast", FmtRdRs1, UnitFlt, 8, 4, 1, FlopNone, slots{dV, uF, __, nL}, MemNone, FlowNone},
+
+	OpJmp:  {"jmp", FmtSym, UnitInt, 2, 1, 0, FlopNone, slots{}, MemNone, FlowControl},
+	OpBeqz: {"beqz", FmtRs1Sym, UnitInt, 2, 1, 0, FlopNone, slots{__, uI}, MemNone, FlowControl},
+	OpBnez: {"bnez", FmtRs1Sym, UnitInt, 2, 1, 0, FlopNone, slots{__, uI}, MemNone, FlowControl},
+	OpCall: {"call", FmtSym, UnitInt, 10, 10, 0, FlopNone, slots{}, MemNone, FlowControl},
+	OpRet:  {"ret", FmtNone, UnitInt, 8, 8, 0, FlopNone, slots{}, MemNone, FlowControl},
+	OpArg:  {"arg", FmtRs1, UnitInt, 1, 1, 0, FlopNone, slots{__, uI}, MemNone, FlowArg},
+	OpFarg: {"farg", FmtRs1, UnitInt, 1, 1, 0, FlopNone, slots{__, uF}, MemNone, FlowArg},
+	OpHalt: {"halt", FmtNone, UnitInt, 1, 1, 0, FlopNone, slots{}, MemNone, FlowControl},
+
+	OpParBegin: {"par.begin", FmtNone, UnitInt, 1, 1, 0, FlopNone, slots{}, MemNone, FlowControl},
+	OpParEnd:   {"par.end", FmtNone, UnitInt, 1, 1, 0, FlopNone, slots{}, MemNone, FlowControl},
+
+	// A post publishes at its store-like completion; a wait resolves
+	// after waitLatency once its threshold is met (sync.go).
+	OpPost: {"post", FmtRs1Rs2, UnitMem, 1, 1, 0, FlopNone, slots{__, uI, uI}, MemStore, FlowNone},
+	OpWait: {"wait", FmtRs1Rs2, UnitMem, waitLatency, 1, 0, FlopNone, slots{__, uI, uI}, MemStore, FlowNone},
+
+	// Masked forms charge their dense twins' timing and flops: every lane
+	// streams through the pipe, the mask gates only the write-back.
+	OpVcmpLt:  {"vcmp.lt", FmtRdRs1Rs2, UnitFlt, 8, 4, 1, FlopNone, slots{dM, uV, uV, nL}, MemNone, FlowNone},
+	OpVcmpLe:  {"vcmp.le", FmtRdRs1Rs2, UnitFlt, 8, 4, 1, FlopNone, slots{dM, uV, uV, nL}, MemNone, FlowNone},
+	OpVcmpEq:  {"vcmp.eq", FmtRdRs1Rs2, UnitFlt, 8, 4, 1, FlopNone, slots{dM, uV, uV, nL}, MemNone, FlowNone},
+	OpVcmpNe:  {"vcmp.ne", FmtRdRs1Rs2, UnitFlt, 8, 4, 1, FlopNone, slots{dM, uV, uV, nL}, MemNone, FlowNone},
+	OpVcmpLts: {"vcmp.lts", FmtRdRs1Rs2, UnitFlt, 8, 4, 1, FlopNone, slots{dM, uV, uF, nL}, MemNone, FlowNone},
+	OpVcmpLes: {"vcmp.les", FmtRdRs1Rs2, UnitFlt, 8, 4, 1, FlopNone, slots{dM, uV, uF, nL}, MemNone, FlowNone},
+	OpVcmpEqs: {"vcmp.eqs", FmtRdRs1Rs2, UnitFlt, 8, 4, 1, FlopNone, slots{dM, uV, uF, nL}, MemNone, FlowNone},
+	OpVcmpNes: {"vcmp.nes", FmtRdRs1Rs2, UnitFlt, 8, 4, 1, FlopNone, slots{dM, uV, uF, nL}, MemNone, FlowNone},
+	OpMand:    {"mand", FmtRdRs1Rs2, UnitInt, 2, 1, 0, FlopNone, slots{dM, uM, uM, nL}, MemNone, FlowNone},
+	OpMor:     {"mor", FmtRdRs1Rs2, UnitInt, 2, 1, 0, FlopNone, slots{dM, uM, uM, nL}, MemNone, FlowNone},
+	OpMnot:    {"mnot", FmtRdRs1, UnitInt, 2, 1, 0, FlopNone, slots{dM, uM, __, nL}, MemNone, FlowNone},
+	OpVldm:    {"vld.m", FmtVecMem, UnitMem, 6, 2, 1, FlopNone, slots{dV, uI, uI, nL, uM}, MemLoad, FlowNone},
+	OpVstm:    {"vst.m", FmtVecMem, UnitMem, 6, 2, 1, FlopNone, slots{nV, uI, uI, nL, uM}, MemStore, FlowNone},
+	OpVaddm:   {"vadd.m", FmtRdRs1Rs2, UnitFlt, 8, 4, 1, FlopVL, slots{dV, uV, uV, nL, uM}, MemNone, FlowNone},
+	OpVsubm:   {"vsub.m", FmtRdRs1Rs2, UnitFlt, 8, 4, 1, FlopVL, slots{dV, uV, uV, nL, uM}, MemNone, FlowNone},
+	OpVmulm:   {"vmul.m", FmtRdRs1Rs2, UnitFlt, 8, 4, 1, FlopVL, slots{dV, uV, uV, nL, uM}, MemNone, FlowNone},
+	OpVdivm:   {"vdiv.m", FmtRdRs1Rs2, UnitFlt, 12, 8, 2, FlopVL, slots{dV, uV, uV, nL, uM}, MemNone, FlowNone},
+}
+
+// regPrefix is the disassembly letter of a register class.
+var regPrefix = [...]byte{RegNone: 'r', RegInt: 'r', RegFlt: 'f', RegVec: 'v', RegMask: 'm', RegVL: 'r'}
+
+// String disassembles one instruction. A masked op prints its element
+// kind from Imm's low byte and appends its governing mask register.
+func (in Instr) String() string {
+	info := in.Op.Info()
+	n := info.Name
+	p := func(s Slot) byte { return regPrefix[info.Regs[s].Class] }
+	masked := info.Regs[SlotMask].Access != NoAccess
+	var s string
+	switch info.Format {
+	case FmtNone:
+		return n
+	case FmtRdImm:
+		return fmt.Sprintf("%s %c%d, %d", n, p(SlotRd), in.Rd, in.Imm)
+	case FmtRdFImm:
+		return fmt.Sprintf("%s %c%d, %g", n, p(SlotRd), in.Rd, in.FImm)
+	case FmtRdRs1:
+		s = fmt.Sprintf("%s %c%d, %c%d", n, p(SlotRd), in.Rd, p(SlotRs1), in.Rs1)
+	case FmtRdRs1Imm:
+		return fmt.Sprintf("%s %c%d, %c%d, %d", n, p(SlotRd), in.Rd, p(SlotRs1), in.Rs1, in.Imm)
+	case FmtRdRs1Rs2:
+		s = fmt.Sprintf("%s %c%d, %c%d, %c%d", n, p(SlotRd), in.Rd, p(SlotRs1), in.Rs1, p(SlotRs2), in.Rs2)
+	case FmtRs1:
+		return fmt.Sprintf("%s %c%d", n, p(SlotRs1), in.Rs1)
+	case FmtRs1Rs2:
+		return fmt.Sprintf("%s %c%d, %c%d", n, p(SlotRs1), in.Rs1, p(SlotRs2), in.Rs2)
+	case FmtLoad:
+		return fmt.Sprintf("%s %c%d, %d(r%d)", n, p(SlotRd), in.Rd, in.Imm, in.Rs1)
+	case FmtStore:
+		return fmt.Sprintf("%s %c%d, %d(r%d)", n, p(SlotRs2), in.Rs2, in.Imm, in.Rs1)
+	case FmtVecMem:
+		ek := in.Imm
+		if masked {
+			ek &= 0xff
+		}
+		s = fmt.Sprintf("%s v%d, (r%d), r%d, ek%d", n, in.Rd, in.Rs1, in.Rs2, ek)
+	case FmtSym:
+		return fmt.Sprintf("%s %s", n, in.Sym)
+	case FmtRs1Sym:
+		return fmt.Sprintf("%s %c%d, %s", n, p(SlotRs1), in.Rs1, in.Sym)
+	}
+	if masked {
+		s += fmt.Sprintf(", m%d", in.Imm>>8)
+	}
+	return s
 }
 
 // Func is one compiled function.

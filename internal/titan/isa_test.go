@@ -1,14 +1,48 @@
 package titan
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 )
 
 func TestDisassembleAllOpcodes(t *testing.T) {
-	// Every opcode must disassemble to its mnemonic (guards the opNames
-	// table against gaps).
+	// Every opcode has a distinct mnemonic in the op table, and names
+	// itself by it in disassembly and wherever an Op is printed.
+	seen := map[string]Op{}
+	for op := Op(0); op < numOps; op++ {
+		name := op.Info().Name
+		if name == "" {
+			t.Errorf("opcode %d has no op table row", int(op))
+			continue
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("opcodes %d and %d share mnemonic %q", int(prev), int(op), name)
+		}
+		seen[name] = op
+		if got := op.String(); got != name {
+			t.Errorf("Op(%d).String() = %q, want %q", int(op), got, name)
+		}
+		if got := (Instr{Op: op, Sym: "L"}).String(); got != name && !strings.HasPrefix(got, name+" ") {
+			t.Errorf("Op(%d) disassembles as %q, want mnemonic %q first", int(op), got, name)
+		}
+	}
+	if got := Op(numOps + 3).String(); got != fmt.Sprintf("op(%d)", int(numOps+3)) {
+		t.Errorf("out-of-table opcode prints as %q", got)
+	}
+	// Decode-time diagnostics name the op by mnemonic too.
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "fadd: float register f70") {
+				t.Errorf("decode panic = %v, want it to name fadd and f70", r)
+			}
+		}()
+		decodeFunc(&Func{Name: "f", Instrs: []Instr{{Op: OpFadd, Rd: 1, Rs1: 70, Rs2: 2}}})
+	}()
+
+	// One instruction per operand layout, with the register prefixes the
+	// slot classes give.
 	cases := []struct {
 		in   Instr
 		want string
@@ -45,6 +79,12 @@ func TestDisassembleAllOpcodes(t *testing.T) {
 		{Instr{Op: OpParBegin}, "par.begin"},
 		{Instr{Op: OpParEnd}, "par.end"},
 		{Instr{Op: OpNeg, Rd: 1, Rs1: 2}, "neg r1, r2"},
+		{Instr{Op: OpPid, Rd: 7}, "pid r7, r0, r0"},
+		{Instr{Op: OpPost, Rs1: 27, Rs2: 36}, "post r27, r36"},
+		{Instr{Op: OpVcmpLts, Rd: 1, Rs1: 64, Rs2: 3}, "vcmp.lts m1, v64, f3"},
+		{Instr{Op: OpMnot, Rd: 2, Rs1: 1}, "mnot m2, m1"},
+		{Instr{Op: OpVldm, Rd: 0, Rs1: 1, Rs2: 2, Imm: 3<<8 | ElemF64}, "vld.m v0, (r1), r2, ek8, m3"},
+		{Instr{Op: OpVaddm, Rd: 0, Rs1: 64, Rs2: 128, Imm: 2 << 8}, "vadd.m v0, v64, v128, m2"},
 	}
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {
